@@ -19,10 +19,10 @@ Determinism: sessions run ``model-only`` numerics with ``noise_sigma=0.0``
 pure arithmetic, and ties break toward the lower candidate — the same seed
 and trace always produce a byte-identical :class:`CalibrationResult`.
 
-The registry of derived chips is process-local, so the ``processes`` and
-``sharded`` backends (whose workers rebuild sessions from plain data) are
-rejected with :class:`~repro.errors.CalibrationError`; the default —
-``vectorized`` — is also the fastest seat for this workload.
+The registry of derived chips is process-local, so the ``sharded`` backend
+(whose workers rebuild sessions from plain data) is rejected with
+:class:`~repro.errors.CalibrationError`; the default — ``vectorized`` — is
+also the fastest seat for this workload.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ DEFAULT_BACKEND = "vectorized"
 
 #: Backends whose workers live in other processes and cannot see the
 #: in-process derived-chip registry.
-_REGISTRY_BOUND_BACKENDS = ("processes", "sharded")
+_REGISTRY_BOUND_BACKENDS = ("sharded",)
 
 
 def _check_backend(backend: str | None) -> str:
@@ -61,7 +61,7 @@ def _check_backend(backend: str | None) -> str:
         raise CalibrationError(
             f"the {resolved!r} backend runs candidate cells in worker "
             f"processes that cannot see the in-process derived-chip "
-            f"registry; use 'vectorized' (default), 'threads' or 'serial'"
+            f"registry; use 'vectorized' (default) or 'serial'"
         )
     if resolved not in BACKEND_NAMES:
         raise CalibrationError(

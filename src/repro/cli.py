@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="parallel experiment cells (default: sequential)",
+            help="worker processes when $REPRO_BACKEND is sharded (default: 1)",
         )
         p.add_argument(
             "--out",
@@ -190,17 +190,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="numerics profile (default: sampled)",
     )
     run.add_argument(
-        "--workers", type=int, default=1, help="parallel experiment cells"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for --backend sharded",
     )
     run.add_argument(
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="execution backend (default: serial for --workers 1, else threads; "
-        "processes sidesteps the GIL for real-NumPy numerics, vectorized "
-        "batch-evaluates whole grids through the roofline model, sharded "
-        "streams contiguous grid shards through vectorized worker "
-        "processes — the million-cell path)",
+        help="execution backend (default: serial, the reference; "
+        "vectorized batch-evaluates whole grids through the roofline "
+        "model, sharded streams contiguous grid shards through --workers "
+        "vectorized worker processes — the million-cell path)",
     )
     run.add_argument(
         "--shard-size",
@@ -305,13 +307,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srun.add_argument("--seed", type=int, default=0, help="measurement noise seed")
     srun.add_argument(
-        "--workers", type=int, default=1, help="parallel experiment cells"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for --backend sharded",
     )
     srun.add_argument(
         "--backend",
         default=None,
         choices=list(BACKEND_NAMES),
-        help="execution backend (default: serial for --workers 1, else threads)",
+        help="execution backend (default: serial)",
     )
     srun.add_argument(
         "--out",
@@ -350,7 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     srender.add_argument("--seed", type=int, default=0, help="noise seed (live runs)")
     srender.add_argument(
-        "--workers", type=int, default=1, help="parallel cells (live runs)"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes when $REPRO_BACKEND is sharded (live runs)",
     )
     srender.add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
@@ -374,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
         "for pure-model sweeps)",
     )
     serve.add_argument(
-        "--workers", type=int, default=1, help="parallel cells per job"
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes per job for --backend sharded",
     )
     serve.add_argument(
         "--job-workers", type=int, default=2, help="concurrently executing jobs"
@@ -564,9 +575,9 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument(
         "--backend",
         default=None,
-        choices=["serial", "threads", "vectorized"],
-        help="candidate-sweep backend (default: vectorized; pool backends "
-        "cannot see the in-process derived-chip registry)",
+        choices=["serial", "vectorized"],
+        help="candidate-sweep backend (default: vectorized; sharded worker "
+        "processes cannot see the in-process derived-chip registry)",
     )
     cal.add_argument(
         "--out",
@@ -761,48 +772,6 @@ def _run_progress(args):
     return progress, executed
 
 
-def _warn_processes_footgun(backend, specs, session) -> None:
-    """Steer ``--backend processes`` away from pure-model grids.
-
-    BENCH_PR4.json measured the 216-cell model-only grid at 941.3 cells/s
-    serial, 661.9 with processes (spawn + IPC overhead swamps the cheap
-    cells) and 15,822.6 vectorized; BENCH_PR8.json adds the million-cell
-    record, where the sharded backend (vectorized lowering inside each
-    worker) sustains 1,329 cells/s against 29.05 serial — so when every
-    cell of the grid would actually lower (its workload declares a
-    vectorized body *and* its effective numerics profile is model-only, the
-    gate every lowering applies), processes is strictly the wrong tool and
-    the envelopes would be byte-identical either way.
-    """
-    if backend != "processes":
-        return
-    from repro.sim.policy import NumericsPolicy
-
-    specs = list(specs)
-    kinds = {spec.kind for spec in specs}
-    if (
-        kinds
-        and all(
-            get_workload(kind).vectorized_body is not None for kind in kinds
-        )
-        and all(
-            session.numerics_for(spec).policy is NumericsPolicy.MODEL_ONLY
-            for spec in specs
-        )
-    ):
-        print(
-            "warning: every workload in this grid has a vectorized lowering; "
-            "--backend processes pays process spawn/IPC per cheap model cell "
-            "(BENCH_PR4.json: 662 cells/s vs 941 serial vs 15,823 "
-            "vectorized). --backend vectorized yields byte-identical "
-            "envelopes ~17x faster on one core; for grids too large for "
-            "one core, --backend sharded runs the vectorized lowering "
-            "inside each worker (BENCH_PR8.json: 1,329 cells/s vs 29 "
-            "serial on the million-cell grid, 45.8x).",
-            file=sys.stderr,
-        )
-
-
 def _effective_backend(args):
     """The backend argument for ``repro run``: a name, or a configured
     :class:`~repro.experiments.backends.ShardedBackend` when ``--shard-size``
@@ -884,7 +853,6 @@ def _run_sweep(args) -> int:
                 f"done, {pending} to run; sweep flags are ignored]",
                 file=sys.stderr,
             )
-        _warn_processes_footgun(args.backend, manifest.specs(), session)
         progress, executed = _run_progress(args)
         envelopes, manifest = run_with_manifest(
             session,
@@ -918,7 +886,6 @@ def _run_sweep(args) -> int:
         # the sweep goes down un-expanded: run_with_manifest expands it in
         # one lazy pass, and run_batch hands it whole to streaming backends
         # (sharded never materializes the grid in this process at all)
-        _warn_processes_footgun(args.backend, sweep.expand_iter(), session)
         progress, executed = _run_progress(args)
         if args.out:
             envelopes, _ = run_with_manifest(

@@ -6,39 +6,35 @@ the cells of a batch execute:
 
 * ``serial`` — an in-order loop in the calling thread (the reference
   semantics every other backend must reproduce bit-identically);
-* ``threads`` — a :class:`~concurrent.futures.ThreadPoolExecutor`; cheap to
-  spin up, but the real-NumPy numerics paths serialize on the GIL;
-* ``processes`` — a :class:`~concurrent.futures.ProcessPoolExecutor`; each
-  cell's spec crosses the boundary as plain data through the workload
-  registry codecs (``spec.to_dict`` / ``spec_from_dict``) and comes back as
-  an envelope dict, so worker dispatch needs nothing picklable beyond the
-  session's numeric configuration;
 * ``vectorized`` — the batch fast path: cells of workloads that declare a
   ``vectorized_body`` are lowered onto shared chip templates and evaluated
   in bulk NumPy array operations (:mod:`repro.sim.vectorized`) instead of
   per-operation Python loops, with automatic per-cell fallback to the
   scalar executor for workloads that do not;
-* ``sharded`` — vectorized × processes for million-cell grids: the grid is
-  cut into contiguous shards, each shard crosses to a worker process (as a
-  sweep slice or as plain-data specs), runs there under the vectorized
-  backend, and streams its envelopes back as plain data; the parent
-  delivers shards strictly in submission order with a bounded number in
-  flight, so a grid of any size runs in constant parent memory.
+* ``sharded`` — vectorized in worker processes, for grids up to millions
+  of cells: the grid is cut into contiguous shards, each shard crosses to
+  a worker process (as a sweep slice or as plain-data specs), runs there
+  under the vectorized backend, and streams its envelopes back as plain
+  data; the parent delivers shards strictly in submission order with a
+  bounded number in flight, so a grid of any size runs in constant parent
+  memory.  ``shard_size=1`` dispatches one cell per process task.
 
 Because every cell is a pure function of (spec, session fingerprint) — the
 simulator's jitter is content-addressed, machines are fresh per cell — all
 backends produce byte-identical envelope JSON; the cross-backend
 determinism suite (``tests/experiments/test_backends.py``) enforces that
-invariant over every registered workload.
+invariant over every registered workload, and ``tests/golden`` pins the
+bytes themselves.
 
 Backend selection: ``Session.run_batch(backend=...)`` accepts a name or an
 instance; ``None`` defers to the ``REPRO_BACKEND`` environment variable
-(the CI matrix hook) and finally to the historical default — serial for one
-worker, threads otherwise.  Sessions with a custom ``machine_factory``
-cannot ship cells to worker processes (arbitrary callables don't cross the
-boundary) or onto the vectorized engine's shared chip templates; an
-*explicit* ``processes`` or ``vectorized`` request on such a session raises,
-while the environment-variable soft default quietly falls back to threads.
+(the CI matrix hook) and finally to ``serial``, whatever ``max_workers``
+is — ``max_workers`` only sizes the ``sharded`` pool.  Sessions with a
+custom ``machine_factory`` cannot ship cells to worker processes
+(arbitrary callables don't cross the boundary) or onto the vectorized
+engine's shared chip templates; an *explicit* ``vectorized`` or
+``sharded`` request on such a session raises, while the
+environment-variable soft default quietly runs it serially.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ import concurrent.futures
 import itertools
 import os
 import pickle
-import time
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -63,21 +58,13 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
-    "ProcessBackend",
     "VectorizedBackend",
     "ShardedBackend",
     "resolve_backend",
 ]
 
 #: The registered backend names, in documentation order.
-BACKEND_NAMES: tuple[str, ...] = (
-    "serial",
-    "threads",
-    "processes",
-    "vectorized",
-    "sharded",
-)
+BACKEND_NAMES: tuple[str, ...] = ("serial", "vectorized", "sharded")
 
 #: Environment variable consulted when no backend is named explicitly —
 #: the CI matrix runs the whole fast tier under each value.
@@ -102,12 +89,14 @@ class ExecutionBackend:
     Subclasses implement :meth:`run`, calling ``finish(index, envelope)``
     exactly once per completed spec — in any order, but always from the
     thread that called :meth:`run` (its consumers — batch bookkeeping,
-    manifest checkpointing — are deliberately unsynchronized; the built-in
-    pool backends satisfy this by finishing from their drain loops).
+    manifest checkpointing — are deliberately unsynchronized; the sharded
+    backend satisfies this by finishing from its delivery loop).
     Backends must preserve the serial reference semantics bit-for-bit;
     they may differ only in wall-clock time.
 
-    Fault-tolerance contract (all keyword-only, all optional):
+    Fault-tolerance contract (all keyword-only; ``Session.run_batch``
+    always passes every one of them, so a custom backend must accept them,
+    if only as ``**kwargs``):
 
     * ``fail(index, exc, spec)`` — report a cell's failure instead of
       raising; every spec reaches exactly one of ``finish``/``fail``.  With
@@ -115,10 +104,11 @@ class ExecutionBackend:
     * ``attempt`` — 1-based attempt number of this round, threaded to
       ``Session.run`` (and across worker boundaries) so deterministic
       fault injection can count attempts.
-    * ``cell_timeout`` — per-cell deadline in seconds; the pool backends
-      abandon cells that run past it and report
-      :class:`~repro.errors.CellTimeoutError` through ``fail``.  In-process
-      backends cannot preempt a running cell and ignore it.
+    * ``cell_timeout`` — per-cell deadline in seconds; the sharded backend
+      gives each shard ``cell_timeout`` × its cell count, abandons a shard
+      that runs past it and reports
+      :class:`~repro.errors.CellTimeoutError` for it.  In-process backends
+      cannot preempt a running cell and ignore it.
     * ``health`` — optional :class:`~repro.experiments.resilience.RunHealth`
       a backend with *internal* recovery (sharded) uses to report the
       retries/fallbacks it performed itself.
@@ -150,42 +140,6 @@ class ExecutionBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}()"
-
-
-def _drain_with_deadline(not_done: set, cell_timeout: float | None):
-    """Yield ``(future, timed_out)`` as pool futures finish or expire.
-
-    Without a deadline this is ``as_completed``.  With one, the loop polls
-    (bounded by the deadline granularity), starts each future's clock when
-    it is first observed *running* — queued cells don't burn their budget
-    waiting for a worker — and yields expired futures with
-    ``timed_out=True`` after attempting to cancel them.  An expired future
-    that was already running cannot be cancelled; it is abandoned (the
-    caller must shut its pool down with ``wait=False``).
-    """
-    started: dict[Any, float] = {}
-    poll = None if cell_timeout is None else max(min(cell_timeout / 8, 0.1), 0.01)
-    while not_done:
-        done, not_done = concurrent.futures.wait(
-            not_done,
-            timeout=poll,
-            return_when=concurrent.futures.FIRST_COMPLETED,
-        )
-        for future in done:
-            yield future, False
-        if cell_timeout is None:
-            continue
-        now = time.monotonic()
-        expired = []
-        for future in not_done:
-            if future.running():
-                begun = started.setdefault(future, now)
-                if now - begun >= cell_timeout:
-                    expired.append(future)
-        for future in expired:
-            future.cancel()
-            not_done.discard(future)
-            yield future, True
 
 
 class SerialBackend(ExecutionBackend):
@@ -220,67 +174,6 @@ class SerialBackend(ExecutionBackend):
             finish(index, envelope)
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution: concurrent cells sharing the interpreter."""
-
-    name = "threads"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
-        self.max_workers = int(max_workers)
-
-    def run(
-        self,
-        session,
-        specs,
-        finish,
-        *,
-        use_cache=True,
-        fail=None,
-        attempt=1,
-        cell_timeout=None,
-        health=None,
-    ):
-        """Execute the specs on a shared-interpreter thread pool."""
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.max_workers)
-        abandoned = False
-        try:
-            futures = {
-                pool.submit(
-                    session.run, spec, use_cache=use_cache, attempt=attempt
-                ): (index, spec)
-                for index, spec in enumerate(specs)
-            }
-            for future, timed_out in _drain_with_deadline(
-                set(futures), cell_timeout
-            ):
-                index, spec = futures[future]
-                if timed_out:
-                    # The thread keeps running (threads cannot be killed);
-                    # abandon it and let pool shutdown skip the join.
-                    abandoned = True
-                    _report_cell_failure(
-                        fail,
-                        index,
-                        CellTimeoutError(
-                            f"{spec.kind} cell {spec.spec_hash()} exceeded "
-                            f"the {cell_timeout:g}s deadline "
-                            f"(attempt {attempt})"
-                        ),
-                        spec,
-                    )
-                    continue
-                try:
-                    envelope = future.result()
-                except Exception as exc:
-                    _report_cell_failure(fail, index, exc, spec)
-                    continue
-                finish(index, envelope)
-        finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
-
-
 def _report_cell_failure(
     fail: "FailCallback | None",
     index: int,
@@ -301,9 +194,9 @@ def _resolve_cache_hits(
 ) -> list[tuple[int, "ExperimentSpec", str]]:
     """Finish every cache hit now; return the (index, spec, key) misses.
 
-    Shared by the backends that resolve caching *before* dispatch (processes,
-    vectorized) so hit/miss counters and in-memory population stay identical
-    to the in-process backends, whatever executes the misses.
+    Used by the vectorized backend, which resolves caching *before* bulk
+    evaluation, so hit/miss counters and in-memory population stay identical
+    to the serial reference, whatever executes the misses.
     """
     pending: list[tuple[int, "ExperimentSpec", str]] = []
     for index, spec in enumerate(specs):
@@ -338,150 +231,6 @@ def _session_payload(session: "Session") -> dict[str, Any]:
         # session fingerprint, so shipping one changes no envelope bytes.
         payload["fault_plan"] = session.fault_plan.to_dict()
     return payload
-
-
-def _execute_cell_payload(
-    spec_data: Mapping[str, Any],
-    session_config: Mapping[str, Any],
-    attempt: int = 1,
-) -> dict[str, Any]:
-    """Worker-side entry point: plain-data spec in, plain-data envelope out.
-
-    Module-level so it is importable (picklable) by worker processes.  The
-    spec is rebuilt through the workload registry codecs, executed on a
-    fresh session with the parent's configuration, and the envelope returns
-    as its ``to_dict`` form — the same codec path the on-disk store uses,
-    which is what makes process execution provably byte-identical.
-    """
-    from repro.experiments.session import Session
-    from repro.experiments.specs import spec_from_dict
-
-    session = Session(**session_config)
-    spec = spec_from_dict(spec_data)
-    return session.run(spec, use_cache=False, attempt=attempt).to_dict()
-
-
-class ProcessBackend(ExecutionBackend):
-    """Process-pool execution: true parallelism for GIL-bound numerics.
-
-    The parent session resolves cache hits before dispatch and stores
-    worker results afterwards, so caching semantics (hit/miss counters,
-    in-memory population, on-disk writes) match the in-process backends.
-    """
-
-    name = "processes"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
-        self.max_workers = int(max_workers)
-
-    def run(
-        self,
-        session,
-        specs,
-        finish,
-        *,
-        use_cache=True,
-        fail=None,
-        attempt=1,
-        cell_timeout=None,
-        health=None,
-    ):
-        """Dispatch cache misses to worker processes as plain-data specs."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.errors import SimulationError
-        from repro.experiments.envelope import ResultEnvelope
-
-        if session.machine_factory is not None:
-            raise ConfigurationError(
-                "the processes backend cannot ship a custom machine_factory "
-                "to worker processes; use the serial or threads backend"
-            )
-        pending = _resolve_cache_hits(session, specs, finish, use_cache)
-        if not pending:
-            return
-        config = _session_payload(session)
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(self.max_workers, len(pending))
-        )
-        abandoned = False
-        try:
-            futures = {
-                pool.submit(
-                    _execute_cell_payload, spec.to_dict(), config, attempt
-                ): (index, spec, key)
-                for index, spec, key in pending
-            }
-            for future, timed_out in _drain_with_deadline(
-                set(futures), cell_timeout
-            ):
-                index, spec, key = futures[future]
-                if timed_out:
-                    # A hung worker cannot be joined; abandon the pool at
-                    # shutdown so the batch is not held hostage.
-                    abandoned = True
-                    _report_cell_failure(
-                        fail,
-                        index,
-                        CellTimeoutError(
-                            f"{spec.kind} cell {spec.spec_hash()} exceeded "
-                            f"the {cell_timeout:g}s deadline "
-                            f"(attempt {attempt})"
-                        ),
-                        spec,
-                    )
-                    continue
-                try:
-                    payload = future.result()
-                except concurrent.futures.CancelledError as exc:
-                    # collateral of a pool break: the cell never ran
-                    _report_cell_failure(
-                        fail,
-                        index,
-                        WorkerCrashError(
-                            f"{spec.kind} cell {spec.spec_hash()} was "
-                            f"cancelled by a broken worker pool "
-                            f"(attempt {attempt})"
-                        ),
-                        spec,
-                    )
-                    continue
-                except BrokenProcessPool as exc:
-                    abandoned = True
-                    _report_cell_failure(
-                        fail,
-                        index,
-                        WorkerCrashError(
-                            f"worker process died executing {spec.kind} "
-                            f"cell {spec.spec_hash()} "
-                            f"(attempt {attempt}): {exc}"
-                        ),
-                        spec,
-                    )
-                    continue
-                except Exception as exc:
-                    if fail is not None:
-                        fail(index, exc, spec)
-                        continue
-                    # One dead cell fails the batch: cancel what has not
-                    # started yet (no point finishing a batch the caller
-                    # will never see) and name the failing cell — a bare
-                    # pickled traceback from a pool worker otherwise says
-                    # nothing about *which* spec died.
-                    for other in futures:
-                        other.cancel()
-                    raise SimulationError(
-                        f"worker process failed on {spec.kind} cell "
-                        f"{spec.spec_hash()}: {exc}"
-                    ) from exc
-                envelope = ResultEnvelope.from_dict(payload)
-                if use_cache:
-                    session.cache_store(key, envelope)
-                finish(index, envelope)
-        finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
 
 
 class VectorizedBackend(ExecutionBackend):
@@ -525,7 +274,7 @@ class VectorizedBackend(ExecutionBackend):
             raise ConfigurationError(
                 "the vectorized backend lowers cells onto shared chip "
                 "templates and cannot honour a custom machine_factory; use "
-                "the serial or threads backend"
+                "the serial backend"
             )
         pending = _resolve_cache_hits(session, specs, finish, use_cache)
         if not pending:
@@ -729,7 +478,7 @@ class _ListResults:
 
 
 class ShardedBackend(ExecutionBackend):
-    """Vectorized × processes: contiguous grid shards in worker processes.
+    """Vectorized execution of contiguous grid shards in worker processes.
 
     The batch is cut into shards of ``shard_size`` consecutive cells; each
     shard crosses to a worker as plain data, runs there under the
@@ -776,8 +525,7 @@ class ShardedBackend(ExecutionBackend):
             raise ConfigurationError(
                 "the sharded backend ships cells to worker processes and "
                 "lowers them onto shared chip templates; a custom "
-                "machine_factory supports neither — use the serial or "
-                "threads backend"
+                "machine_factory supports neither — use the serial backend"
             )
 
     def run(
@@ -1128,47 +876,27 @@ def resolve_backend(
 
     ``backend`` may be an instance (used as-is), a name from
     :data:`BACKEND_NAMES`, or ``None`` — which consults ``REPRO_BACKEND``
-    and finally falls back to the historical default (serial for one
-    worker, threads otherwise).  The environment variable is a *soft*
-    default: it never overrides an explicit argument, and it degrades for
-    sessions whose custom ``machine_factory`` cannot cross a process
-    boundary or be lowered onto shared chip templates — to threads, or to
-    serial when the batch has one worker anyway (an explicit
-    ``"processes"``, ``"vectorized"`` or ``"sharded"`` request still
-    raises).
+    and finally falls back to ``serial``.  ``max_workers`` sizes the
+    ``sharded`` pool and nothing else.  The environment variable is a
+    *soft* default: it never overrides an explicit argument, and a session
+    whose custom ``machine_factory`` cannot cross a process boundary or be
+    lowered onto shared chip templates runs serially under it (an explicit
+    ``"vectorized"`` or ``"sharded"`` request still raises).
     """
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = backend
-    from_env = False
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or None
-        from_env = name is not None
-    if name is None:
-        return SerialBackend() if max_workers <= 1 else ThreadBackend(max_workers)
-    if (
-        from_env
-        and name in ("processes", "vectorized", "sharded")
-        and session is not None
-        and session.machine_factory is not None
-    ):
-        # a single-worker degrade used to hand back a ThreadBackend whose
-        # pool dispatch buys nothing over the serial reference loop
-        return (
-            SerialBackend() if max_workers <= 1 else ThreadBackend(max_workers)
+    from_env = backend is None
+    name = (os.environ.get(BACKEND_ENV_VAR) or "serial") if from_env else backend
+    if name not in BACKEND_NAMES:
+        origin = f" (from ${BACKEND_ENV_VAR})" if from_env else ""
+        raise ConfigurationError(
+            f"unknown execution backend {name!r}{origin}; "
+            f"known: {', '.join(BACKEND_NAMES)}"
         )
-    if name == "serial":
+    if name == "serial" or (
+        from_env and session is not None and session.machine_factory is not None
+    ):
         return SerialBackend()
-    if name == "threads":
-        return ThreadBackend(max_workers)
-    if name == "processes":
-        return ProcessBackend(max_workers)
     if name == "vectorized":
         return VectorizedBackend()
-    if name == "sharded":
-        return ShardedBackend(max_workers)
-    origin = f" (from ${BACKEND_ENV_VAR})" if from_env else ""
-    raise ConfigurationError(
-        f"unknown execution backend {name!r}{origin}; "
-        f"known: {', '.join(BACKEND_NAMES)}"
-    )
+    return ShardedBackend(max_workers)

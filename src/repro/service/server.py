@@ -78,8 +78,8 @@ class ExperimentService:
         sampled-numerics configuration).  A pre-existing store written
         under a different session fingerprint is refused at startup.
     backend / max_workers:
-        Execution backend and per-job cell concurrency, passed through to
-        :meth:`Session.run_batch` for every job.
+        Execution backend and its per-job worker-process count (``sharded``
+        only), passed through to :meth:`Session.run_batch` for every job.
     job_workers:
         How many jobs execute concurrently (distinct grids only — duplicate
         submissions coalesce before they reach the queue).

@@ -9,6 +9,7 @@ plan, but no worker to kill.
 from chaoslib import grid, model_session
 
 from repro.experiments import FaultPlan, RetryPolicy
+from repro.experiments.backends import ShardedBackend
 
 FAST_RETRY = RetryPolicy(max_retries=1, backoff_base=0.001)
 
@@ -27,8 +28,8 @@ class TestCrashRecovery:
         assert [e.to_json() for e in envelopes] == reference
         assert session.last_health.ok
 
-    def test_process_pool_crash_degrades_to_fallback(self, reference):
-        # force a real worker pool so the crash actually fires
+    def test_sharded_per_cell_crash_degrades_to_fallback(self, reference):
+        # force a real worker pool, one cell per shard, so the crash fires
         specs = grid()
         session = model_session(
             fault_plan=FaultPlan.single(
@@ -36,7 +37,9 @@ class TestCrashRecovery:
             )
         )
         envelopes = session.run_batch(
-            specs, backend="processes", max_workers=2, retry=FAST_RETRY
+            specs,
+            backend=ShardedBackend(max_workers=2, shard_size=1),
+            retry=FAST_RETRY,
         )
         assert [e.to_json() for e in envelopes] == reference
         health = session.last_health
@@ -45,8 +48,6 @@ class TestCrashRecovery:
         assert health.fallbacks >= 1
 
     def test_sharded_worker_crash_redoes_the_shard_in_parent(self, reference):
-        from repro.experiments.backends import ShardedBackend
-
         specs = grid()
         session = model_session(
             fault_plan=FaultPlan.single(

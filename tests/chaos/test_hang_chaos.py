@@ -1,14 +1,17 @@
 """Hung cells: per-cell deadlines detect them; the retry recovers them.
 
-The ``hang`` fault sleeps inside the cell's execution path.  Pool backends
-armed with ``cell_timeout`` abandon the wedged future and retry (the
-one-shot rule does not re-fire on attempt 2); in-parent backends simply
-ride the sleep out.  Either way the run completes byte-identically.
+The ``hang`` fault sleeps inside the cell's execution path.  The sharded
+backend armed with ``cell_timeout`` gives each shard ``cell_timeout`` ×
+its cell count, abandons a shard that runs past it and redoes the shard
+in the parent at the next attempt (the one-shot rule does not re-fire on
+attempt 2); in-parent backends simply ride the sleep out.  Either way the
+run completes byte-identically.
 """
 
 from chaoslib import grid, model_session
 
 from repro.experiments import FaultPlan, RetryPolicy
+from repro.experiments.backends import ShardedBackend
 
 
 class TestHangRecovery:
@@ -29,7 +32,8 @@ class TestHangRecovery:
         assert [e.to_json() for e in envelopes] == reference
         assert session.last_health.ok
 
-    def test_process_pool_timeout_is_counted(self, reference):
+    def test_sharded_shard_deadline_is_counted(self, reference):
+        # shard_size=1: a shard's deadline is exactly one cell_timeout
         specs = grid()
         session = model_session(
             fault_plan=FaultPlan.single(
@@ -38,8 +42,7 @@ class TestHangRecovery:
         )
         envelopes = session.run_batch(
             specs,
-            backend="processes",
-            max_workers=2,
+            backend=ShardedBackend(max_workers=2, shard_size=1),
             retry=RetryPolicy(
                 max_retries=1, backoff_base=0.001, cell_timeout=0.15
             ),
@@ -48,4 +51,5 @@ class TestHangRecovery:
         health = session.last_health
         assert health.ok
         assert health.timeouts >= 1
-        assert health.wall_clock_lost_s > 0
+        # the expired shard is redone in the parent, not retried with backoff
+        assert health.fallbacks >= 1

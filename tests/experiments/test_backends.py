@@ -1,4 +1,4 @@
-"""Cross-backend determinism: serial == threads == processes, byte for byte.
+"""Cross-backend determinism: serial == vectorized == sharded, byte for byte.
 
 DESIGN.md §2's purity property — every cell is a pure function of (spec,
 session fingerprint) — is what makes parallel execution sound.  This suite
@@ -13,14 +13,14 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     BACKEND_NAMES,
     GemmSpec,
-    ProcessBackend,
     SerialBackend,
     Session,
     StreamSpec,
     SweepSpec,
-    ThreadBackend,
+    VectorizedBackend,
     resolve_backend,
 )
+from repro.experiments.backends import ShardedBackend
 from repro.sim.machine import Machine
 from repro.workloads import get_workload, workload_kinds
 
@@ -55,8 +55,9 @@ class TestCrossBackendDeterminism:
         for backend in PARALLEL_BACKENDS:
             assert batch_json(specs, backend=backend, max_workers=4) == reference
 
-    def test_all_six_workload_sweeps_serial_vs_processes(self):
-        """The acceptance grid: one sweep per registered kind, both backends."""
+    def test_all_six_workload_sweeps_serial_vs_sharded_per_cell(self):
+        """The acceptance grid: one sweep per registered kind, one cell per
+        worker task (``shard_size=1``)."""
         sweeps = [
             SweepSpec(kind="gemm", chips=("M1",), impl_keys=("gpu-mps",), sizes=(256,)),
             SweepSpec(kind="powered-gemm", chips=("M1",), impl_keys=("gpu-mps",), sizes=(256,), repeats=2),
@@ -67,11 +68,12 @@ class TestCrossBackendDeterminism:
         ]
         assert {s.kind for s in sweeps} == set(workload_kinds())
         specs = [spec for sweep in sweeps for spec in sweep.expand()]
-        assert batch_json(specs, backend="processes", max_workers=4) == batch_json(
+        per_cell = ShardedBackend(max_workers=2, shard_size=1)
+        assert batch_json(specs, backend=per_cell) == batch_json(
             specs, backend="serial"
         )
 
-    def test_results_in_input_order_for_processes(self):
+    def test_results_in_input_order_for_sharded_per_cell(self):
         specs = list(
             SweepSpec(
                 kind="gemm",
@@ -80,24 +82,26 @@ class TestCrossBackendDeterminism:
                 sizes=(256, 512),
             ).expand()
         )
-        envs = model_session().run_batch(specs, backend="processes", max_workers=4)
+        envs = model_session().run_batch(
+            specs, backend=ShardedBackend(max_workers=2, shard_size=1)
+        )
         assert [e.spec for e in envs] == specs
 
 
-class TestProcessBackendCaching:
+class TestShardedBackendCaching:
     def test_populates_parent_cache(self):
         session = model_session()
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
-        session.run_batch([spec], backend="processes")
+        session.run_batch([spec], backend="sharded")
         assert session.cache_info()["in_memory"] == 1
-        again = session.run_batch([spec], backend="processes")
+        again = session.run_batch([spec], backend="sharded")
         assert session.cache_info()["hits"] == 1
         assert again[0] is session.run_batch([spec], backend="serial")[0]
 
     def test_disk_cache_shared_with_serial(self, tmp_path):
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
         first = model_session(cache_dir=tmp_path).run_batch(
-            [spec], backend="processes"
+            [spec], backend="sharded"
         )[0]
         revived = model_session(cache_dir=tmp_path)
         second = revived.run_batch([spec], backend="serial")[0]
@@ -107,11 +111,11 @@ class TestProcessBackendCaching:
     def test_uncached_miss_counters_match_serial(self):
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
         counts = {}
-        for backend in ("serial", "processes"):
+        for backend in ("serial", "sharded"):
             session = model_session()
             session.run_batch([spec], backend=backend, use_cache=False)
             counts[backend] = session.cache_info()["misses"]
-        assert counts["processes"] == counts["serial"] == 1
+        assert counts["sharded"] == counts["serial"] == 1
 
     def test_machine_factory_rejected(self):
         def factory(chip, seed, numerics):
@@ -120,22 +124,28 @@ class TestProcessBackendCaching:
         session = Session(numerics="model-only", machine_factory=factory)
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
         with pytest.raises(ConfigurationError, match="machine_factory"):
-            session.run_batch([spec], backend="processes")
+            session.run_batch([spec], backend="sharded")
 
 
 class TestBackendResolution:
+    def test_backend_names(self):
+        assert BACKEND_NAMES == ("serial", "vectorized", "sharded")
+
     def test_defaults_without_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        # serial whatever the worker count: max_workers only sizes sharded
         assert isinstance(resolve_backend(None, 1), SerialBackend)
-        assert isinstance(resolve_backend(None, 4), ThreadBackend)
+        assert isinstance(resolve_backend(None, 4), SerialBackend)
 
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
-        assert isinstance(resolve_backend("threads", 4), ThreadBackend)
-        assert isinstance(resolve_backend("processes", 4), ProcessBackend)
+        assert isinstance(resolve_backend("vectorized", 4), VectorizedBackend)
+        sharded = resolve_backend("sharded", 4)
+        assert isinstance(sharded, ShardedBackend)
+        assert sharded.max_workers == 4
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend(2)
+        backend = ShardedBackend(2)
         assert resolve_backend(backend, 8) is backend
 
     def test_unknown_name_raises(self):
@@ -143,18 +153,40 @@ class TestBackendResolution:
             resolve_backend("fibers", 4)
 
     def test_unknown_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "proceses")
+        monkeypatch.setenv("REPRO_BACKEND", "shardd")
         with pytest.raises(ConfigurationError, match=r"\$REPRO_BACKEND"):
             resolve_backend(None, 4)
 
+    @pytest.mark.parametrize("removed", ["threads", "processes"])
+    def test_removed_backend_names_are_unknown(self, removed, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", removed)
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_backend(None, 4)
+        assert "known: serial, vectorized, sharded" in str(excinfo.value)
+        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            model_session().run_batch([spec])
+
+    def test_unknown_env_value_rejected_for_machine_factory(self, monkeypatch):
+        # the machine_factory degrade applies to known names only
+        monkeypatch.setenv("REPRO_BACKEND", "threads")
+        session = Session(
+            numerics="model-only",
+            machine_factory=lambda chip, seed, numerics: Machine.for_chip(
+                "M1", seed=seed, numerics=numerics
+            ),
+        )
+        with pytest.raises(ConfigurationError, match="unknown execution backend"):
+            resolve_backend(None, 4, session=session)
+
     def test_env_var_is_soft_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
-        assert isinstance(resolve_backend(None, 1), ProcessBackend)
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        assert isinstance(resolve_backend(None, 1), ShardedBackend)
         # explicit argument wins over the environment
         assert isinstance(resolve_backend("serial", 4), SerialBackend)
 
-    def test_env_processes_degrades_for_machine_factory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
+    def test_env_sharded_degrades_for_machine_factory(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
         session = Session(
             numerics="model-only",
             machine_factory=lambda chip, seed, numerics: Machine.for_chip(
@@ -162,7 +194,7 @@ class TestBackendResolution:
             ),
         )
         resolved = resolve_backend(None, 4, session=session)
-        assert isinstance(resolved, ThreadBackend)
+        assert isinstance(resolved, SerialBackend)
         # ...and the batch actually executes instead of raising
         env = session.run_batch(
             [GemmSpec(chip="M1", impl_key="gpu-mps", n=256)]
@@ -173,7 +205,7 @@ class TestBackendResolution:
         spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=256)
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         reference = model_session().run_batch([spec])[0].to_json()
-        monkeypatch.setenv("REPRO_BACKEND", "processes")
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
         assert model_session().run_batch([spec])[0].to_json() == reference
 
     def test_session_level_backend_default(self):
@@ -184,6 +216,6 @@ class TestBackendResolution:
 
     def test_bad_worker_count_still_rejected(self):
         with pytest.raises(ConfigurationError):
-            ThreadBackend(0)
+            ShardedBackend(0)
         with pytest.raises(ConfigurationError):
-            ProcessBackend(0)
+            model_session().run_batch([], max_workers=0)

@@ -260,7 +260,7 @@ class TestRunWithManifest:
             model_session(),
             SWEEP,
             tmp_path,
-            backend="processes",
+            backend="sharded",
             max_workers=2,
         )
         assert manifest.status_counts() == {STATUS_DONE: len(SWEEP.expand())}

@@ -20,7 +20,6 @@ from repro.experiments import (
 from repro.experiments.backends import (
     SerialBackend,
     ShardedBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.experiments.envelope import ResultEnvelope
@@ -208,15 +207,6 @@ class TestWorkerCrashPropagation:
     BAD = GemmSpec(chip="M1", impl_key="no-such-impl", n=64)
     GOOD = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
 
-    def test_processes_backend_names_the_failing_cell(self):
-        with pytest.raises(SimulationError) as excinfo:
-            model_session().run_batch(
-                [self.GOOD, self.BAD], backend="processes", max_workers=2
-            )
-        message = str(excinfo.value)
-        assert "gemm" in message
-        assert self.BAD.spec_hash() in message
-
     def test_sharded_backend_names_the_failing_cell(self):
         # the failing shard degrades to an in-parent redo; the cell fails
         # there too (a bad spec, not a bad worker) and is named terminally
@@ -262,7 +252,7 @@ class DroppingBackend(SerialBackend):
     def __init__(self, drop_index: int) -> None:
         self.drop_index = drop_index
 
-    def run(self, session, specs, finish, *, use_cache=True):
+    def run(self, session, specs, finish, *, use_cache=True, **kwargs):
         for index, spec in enumerate(specs):
             if index != self.drop_index:
                 finish(index, session.run(spec, use_cache=use_cache))
@@ -298,13 +288,11 @@ class TestShardedResolution:
                 "M1", seed=seed, numerics=numerics
             ),
         )
-        assert isinstance(
-            resolve_backend(None, 4, session=session), ThreadBackend
-        )
-        # single-worker batches degrade all the way to the serial reference
-        assert isinstance(
-            resolve_backend(None, 1, session=session), SerialBackend
-        )
+        # the serial reference, whatever the worker count
+        for workers in (1, 4):
+            assert isinstance(
+                resolve_backend(None, workers, session=session), SerialBackend
+            )
 
     def test_bad_shard_size_rejected(self):
         with pytest.raises(ConfigurationError):

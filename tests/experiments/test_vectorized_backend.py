@@ -317,7 +317,7 @@ class TestBackendSemantics:
             )
 
     def test_env_vectorized_degrades_for_machine_factory(self, monkeypatch):
-        from repro.experiments import ThreadBackend
+        from repro.experiments import SerialBackend
 
         monkeypatch.setenv("REPRO_BACKEND", "vectorized")
         session = Session(
@@ -327,7 +327,7 @@ class TestBackendSemantics:
             ),
         )
         assert isinstance(
-            resolve_backend(None, 4, session=session), ThreadBackend
+            resolve_backend(None, 4, session=session), SerialBackend
         )
         envs = session.run_batch([get_workload("spmv").sample_spec()])
         assert len(envs) == 1
