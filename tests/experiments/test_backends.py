@@ -9,10 +9,16 @@ serial reference.
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    ConfigurationError,
+    SimulationError,
+    TransientError,
+    WorkerCrashError,
+)
 from repro.experiments import (
     BACKEND_NAMES,
     GemmSpec,
+    RetryPolicy,
     SerialBackend,
     Session,
     StreamSpec,
@@ -179,6 +185,24 @@ class TestBackendResolution:
         with pytest.raises(ConfigurationError, match="unknown execution backend"):
             resolve_backend(None, 4, session=session)
 
+    @pytest.mark.parametrize("removed", ["threads", "processes"])
+    def test_removed_backend_names_are_unknown_as_session_default(
+        self, removed, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        spec = GemmSpec(chip="M1", impl_key="gpu-mps", n=64)
+        with pytest.raises(ConfigurationError) as excinfo:
+            model_session(backend=removed).run_batch([spec])
+        assert f"unknown execution backend {removed!r}" in str(excinfo.value)
+        assert "$REPRO_BACKEND" not in str(excinfo.value)
+
+    def test_env_sharded_pool_sized_by_max_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        for workers in (1, 3):
+            resolved = resolve_backend(None, workers)
+            assert isinstance(resolved, ShardedBackend)
+            assert resolved.max_workers == workers
+
     def test_env_var_is_soft_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "sharded")
         assert isinstance(resolve_backend(None, 1), ShardedBackend)
@@ -219,3 +243,100 @@ class TestBackendResolution:
             ShardedBackend(0)
         with pytest.raises(ConfigurationError):
             model_session().run_batch([], max_workers=0)
+
+
+class FlakyBackend(SerialBackend):
+    """Reports ``error`` for the first cell of every round up to attempt
+    ``flaky_attempts`` and runs everything else serially; records the
+    ``(attempt, cell count)`` of each round it is driven through."""
+
+    name = "flaky"
+
+    def __init__(self, error: type[Exception], flaky_attempts: int) -> None:
+        self.error = error
+        self.flaky_attempts = flaky_attempts
+        self.rounds: list[tuple[int, int]] = []
+
+    def run(self, session, specs, finish, *, fail=None, attempt=1, **kwargs):
+        self.rounds.append((attempt, len(specs)))
+        for index, spec in enumerate(specs):
+            if index == 0 and attempt <= self.flaky_attempts:
+                fail(index, self.error(f"injected at attempt {attempt}"), spec)
+            else:
+                finish(index, session.run(spec, attempt=attempt))
+
+
+class TestCustomBackendContract:
+    """A custom backend is driven through the one keyword contract of
+    ``ExecutionBackend.run`` and gets the full retry ladder."""
+
+    SPECS = [GemmSpec(chip="M1", impl_key="gpu-mps", n=n) for n in (256, 512)]
+    FAST_RETRY = RetryPolicy(max_retries=1, backoff_base=0.001)
+
+    def test_receives_every_contract_keyword(self):
+        seen = []
+
+        class Recording(SerialBackend):
+            def run(self, session, specs, finish, **kwargs):
+                seen.append(kwargs)
+                super().run(session, specs, finish, **kwargs)
+
+        session = model_session()
+        session.run_batch(
+            self.SPECS, backend=Recording(), retry=RetryPolicy(cell_timeout=2.0)
+        )
+        (kwargs,) = seen
+        assert set(kwargs) == {
+            "use_cache",
+            "fail",
+            "attempt",
+            "cell_timeout",
+            "health",
+        }
+        assert callable(kwargs["fail"])
+        assert kwargs["attempt"] == 1
+        assert kwargs["cell_timeout"] == 2.0
+        assert kwargs["health"] is session.last_health
+
+    def test_pre_contract_signature_fails_loudly(self):
+        class PreContract(SerialBackend):
+            def run(self, session, specs, finish, *, use_cache=True):
+                raise AssertionError("must not be driven")
+
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            model_session().run_batch(self.SPECS, backend=PreContract())
+
+    def test_transient_failure_is_retried_on_the_backend(self):
+        backend = FlakyBackend(TransientError, flaky_attempts=1)
+        session = model_session()
+        envs = session.run_batch(self.SPECS, backend=backend, retry=self.FAST_RETRY)
+        assert [e.to_json() for e in envs] == batch_json(self.SPECS)
+        assert backend.rounds == [(1, 2), (2, 1)]
+        health = session.last_health
+        assert health.ok
+        assert (health.retries, health.fallbacks) == (1, 0)
+
+    def test_persistent_crash_falls_back_in_process(self):
+        backend = FlakyBackend(WorkerCrashError, flaky_attempts=99)
+        session = model_session()
+        envs = session.run_batch(self.SPECS, backend=backend, retry=self.FAST_RETRY)
+        assert [e.to_json() for e in envs] == batch_json(self.SPECS)
+        # the last rung runs on the serial reference, not the custom backend
+        assert backend.rounds == [(1, 2), (2, 1)]
+        health = session.last_health
+        assert health.ok
+        assert (health.retries, health.fallbacks, health.crashes) == (1, 1, 2)
+
+    def test_hard_failure_is_terminal_without_retry(self):
+        backend = FlakyBackend(SimulationError, flaky_attempts=99)
+        session = model_session()
+        envs = session.run_batch(
+            self.SPECS, backend=backend, retry=self.FAST_RETRY, on_error="collect"
+        )
+        assert envs[0] is None
+        assert envs[1].to_json() == batch_json(self.SPECS[1:])[0]
+        assert backend.rounds == [(1, 2)]
+        health = session.last_health
+        assert (health.retries, health.fallbacks) == (0, 0)
+        (failure,) = health.failures
+        assert failure.spec_hash == self.SPECS[0].spec_hash()

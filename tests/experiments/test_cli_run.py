@@ -477,3 +477,33 @@ class TestFigureFromEnvelopes:
             capsys, ["figure2", "--fast", "--chips", "M1", "--workers", "4"]
         )
         assert sequential == parallel
+
+    def test_workers_size_the_env_sharded_pool(self, capsys, monkeypatch):
+        # figure commands have no --backend; --workers matters only when
+        # $REPRO_BACKEND selects sharded, and the figure stays identical
+        argv = ["figure2", "--fast", "--chips", "M1"]
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        reference = _run_figure(capsys, argv)
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        assert _run_figure(capsys, argv + ["--workers", "2"]) == reference
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["study", "run", "--fast", "--chips", "M1", "--quiet"],
+        ["serve", "--store", "{tmp}"],
+        ["calibrate", "--against", "synthetic", "--chips", "M1"],
+    ],
+    ids=["study-run", "serve", "calibrate"],
+)
+def test_removed_backends_are_usage_errors_everywhere(argv, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path / "store")) for arg in argv]
+    for removed in ("threads", "processes"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--backend", removed])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "store").exists()
