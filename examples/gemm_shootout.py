@@ -2,9 +2,9 @@
 """Figure 2 end to end: all six GEMM implementations across sizes and chips.
 
 Declares the whole grid as one :class:`repro.SweepSpec` per chip and lets
-the session execute it as a parallel batch (four workers) with a progress
-line.  Sweeps n = 32..16384 (CPU loop implementations stop at 4096, as in
-the paper) and prints the best-of-five GFLOPS per cell, reproducing the
+the session execute it as one batch with a progress line.  Sweeps
+n = 32..16384 (CPU loop implementations stop at 4096, as in the paper)
+and prints the best-of-five GFLOPS per cell, reproducing the
 shape of Figure 2: MPS dominates, Accelerate leads the CPU, the naive
 shader beats the CUTLASS-style one, and the GPU loses below n ~ 512 to
 dispatch overhead.
@@ -40,7 +40,7 @@ def main() -> None:
             if done == total:
                 print(file=sys.stderr)
 
-        envelopes = session.run_batch(specs, max_workers=4, progress=progress)
+        envelopes = session.run_batch(specs, progress=progress)
         cells = {(e.spec.impl_key, e.spec.n): e.result for e in envelopes}
 
         print(f"\n== {chip} — best GFLOPS over {repro.paper.GEMM_REPEATS} reps ==")

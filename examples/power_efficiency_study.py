@@ -30,7 +30,7 @@ def main() -> None:
             supported = gemm_calibration(repro.get_chip(chip), key).supports(n)
             size = n if supported else repro.paper.CPU_LOOP_MAX_N
             specs.append(repro.PoweredGemmSpec(chip=chip, impl_key=key, n=size))
-    envelopes = session.run_batch(specs, max_workers=4)
+    envelopes = session.run_batch(specs)
     by_cell = {(e.spec.chip, e.spec.impl_key): e.result for e in envelopes}
 
     print(f"{'chip':5s} {'impl':16s} {'GFLOPS':>10s} {'power':>9s} {'GFLOPS/W':>10s}")

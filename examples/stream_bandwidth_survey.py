@@ -2,7 +2,7 @@
 """Figure 1 end to end: the STREAM bandwidth survey across all four chips.
 
 Declares one :class:`repro.StreamSpec` per (chip, target) bar and runs the
-whole figure as one parallel batch.  The methodology underneath is the
+whole figure as one batch.  The methodology underneath is the
 paper's: the CPU side runs McCalpin's kernels under an OMP_NUM_THREADS
 sweep from one to the physical core count (ten repetitions each, maximum
 kept), the GPU side dispatches the MSL ports twenty times through
@@ -27,7 +27,7 @@ def main() -> None:
         for chip in repro.paper.CHIPS
         for target in ("cpu", "gpu")
     ]
-    envelopes = session.run_batch(specs, max_workers=4)
+    envelopes = session.run_batch(specs)
     rows = {(e.spec.chip, e.spec.target): e.result for e in envelopes}
 
     header = f"{'chip':5s} {'target':6s} " + "".join(

@@ -6,7 +6,7 @@ Examples::
     repro figure1 --chips M1 M4
     repro figure2 --fast
     repro workloads
-    repro run --kind gemm --chips M1 M4 --workers 4 --out results/
+    repro run --kind gemm --chips M1 M4 --backend sharded --workers 4 --out results/
     repro run --kind spmv --chips M1 --out results/
     repro run --from results/
     repro figure2 --from results/
@@ -24,6 +24,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -63,6 +64,7 @@ from repro.experiments import (
     run_with_manifest,
     save_envelopes,
 )
+from repro.experiments.backends import BACKEND_ENV_VAR
 from repro.study import (
     FIGURES,
     TABLES,
@@ -116,12 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--chart", action="store_true", help="draw an ASCII chart of the figure"
         )
         p.add_argument("--seed", type=int, default=0, help="measurement noise seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker processes when $REPRO_BACKEND is sharded (default: 1)",
-        )
         p.add_argument(
             "--out",
             default=None,
@@ -193,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for --backend sharded",
+        help="worker processes of the sharded backend (more than 1 "
+        "requires it)",
     )
     run.add_argument(
         "--backend",
@@ -310,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes for --backend sharded",
+        help="worker processes of the sharded backend (more than 1 "
+        "requires it)",
     )
     srun.add_argument(
         "--backend",
@@ -354,12 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true", help="live runs use the smoke grid"
     )
     srender.add_argument("--seed", type=int, default=0, help="noise seed (live runs)")
-    srender.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes when $REPRO_BACKEND is sharded (live runs)",
-    )
     srender.add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     serve = sub.add_parser(
@@ -385,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes per job for --backend sharded",
+        help="worker processes per job of the sharded backend "
+        "(more than 1 requires it)",
     )
     serve.add_argument(
         "--job-workers", type=int, default=2, help="concurrently executing jobs"
@@ -627,7 +620,7 @@ def _figure1_series(args) -> dict:
     if envelopes is not None:
         return figure1_from_envelopes(envelopes, chips=args.chips)
     session = _figure_session(args)
-    data = figure1_data(args.chips, session=session, max_workers=args.workers)
+    data = figure1_data(args.chips, session=session)
     _flush_sink(args, session)
     return data
 
@@ -681,9 +674,7 @@ def _figure_series(args, builder, from_builder) -> dict:
     if envelopes is not None:
         return from_builder(envelopes, chips=args.chips)
     session = _figure_session(args)
-    data = builder(
-        args.chips, fast=args.fast, session=session, max_workers=args.workers
-    )
+    data = builder(args.chips, fast=args.fast, session=session)
     _flush_sink(args, session)
     return data
 
@@ -772,10 +763,22 @@ def _run_progress(args):
     return progress, executed
 
 
+def _check_workers(args) -> None:
+    """``--workers`` sizes the sharded pool and nothing else: more than one
+    worker on any other backend is a usage error, not a silently serial run."""
+    backend = args.backend or os.environ.get(BACKEND_ENV_VAR) or "serial"
+    if args.workers > 1 and backend != "sharded":
+        raise ReproError(
+            f"--workers only sizes the sharded pool, and this run's backend "
+            f"is {backend!r}; add --backend sharded"
+        )
+
+
 def _effective_backend(args):
     """The backend argument for ``repro run``: a name, or a configured
     :class:`~repro.experiments.backends.ShardedBackend` when ``--shard-size``
     tunes it."""
+    _check_workers(args)
     shard_size = getattr(args, "shard_size", None)
     if shard_size is None:
         return args.backend
@@ -942,6 +945,7 @@ def _study_session(args) -> Session:
 def _study_run(args) -> None:
     """The ``repro study run`` subcommand: one declarative grid, optionally
     persisted to a resumable, manifest-indexed store."""
+    _check_workers(args)
     study = paper_study(
         tuple(args.chips), seed=args.seed, fast=args.fast, figures=args.figures
     )
@@ -976,9 +980,7 @@ def _study_frame(args) -> ResultFrame:
         fast=args.fast,
         figures=figures,
     )
-    return run_study(
-        study, session=_study_session(args), max_workers=args.workers
-    )
+    return run_study(study, session=_study_session(args))
 
 
 def _study_render(args) -> None:
@@ -1027,6 +1029,7 @@ def _run_serve(args) -> None:
 
     from repro.service import ExperimentService
 
+    _check_workers(args)
     session = Session(numerics=args.numerics, seed=args.seed)
     service = ExperimentService(
         args.store,
@@ -1328,15 +1331,9 @@ def _dispatch(args) -> int:
             fig4 = figure4_from_envelopes(envelopes, chips=args.chips)
         else:
             session = _figure_session(args)
-            fig1 = figure1_data(
-                args.chips, session=session, max_workers=args.workers
-            )
-            fig2 = figure2_data(
-                args.chips, session=session, max_workers=args.workers
-            )
-            fig4 = figure4_data(
-                args.chips, session=session, max_workers=args.workers
-            )
+            fig1 = figure1_data(args.chips, session=session)
+            fig2 = figure2_data(args.chips, session=session)
+            fig4 = figure4_data(args.chips, session=session)
             _flush_sink(args, session)
         print(render_comparison(compare_to_paper(fig1=fig1, fig2=fig2, fig4=fig4)))
         print()

@@ -77,7 +77,7 @@ FinishCallback = Callable[[int, "ResultEnvelope"], None]
 #: ``fail(index, exc, spec)`` — the per-cell failure channel.  When a caller
 #: provides it, a cell that raises is *reported* instead of aborting the
 #: batch (partial-failure semantics: sibling cells keep executing); when it
-#: is ``None``, backends preserve the historical fail-fast behavior.  The
+#: is ``None``, the cell's exception is raised.  The
 #: spec rides along so the caller can identify — and retry — the cell
 #: without holding the whole batch materialized.
 FailCallback = Callable[[int, BaseException, Any], None]
@@ -100,7 +100,8 @@ class ExecutionBackend:
 
     * ``fail(index, exc, spec)`` — report a cell's failure instead of
       raising; every spec reaches exactly one of ``finish``/``fail``.  With
-      ``fail=None`` the first failure aborts the batch (legacy semantics).
+      ``fail=None`` a cell's failure is raised instead — the sharded
+      worker runs its shard through the vectorized backend that way.
     * ``attempt`` — 1-based attempt number of this round, threaded to
       ``Session.run`` (and across worker boundaries) so deterministic
       fault injection can count attempts.
@@ -111,7 +112,8 @@ class ExecutionBackend:
       cannot preempt a running cell and ignore it.
     * ``health`` — optional :class:`~repro.experiments.resilience.RunHealth`
       a backend with *internal* recovery (sharded) uses to report the
-      retries/fallbacks it performed itself.
+      fallbacks, crashes, timeouts and abandoned deadlines it handled
+      itself.
     """
 
     #: Registry/CLI name of this backend.
@@ -754,26 +756,55 @@ class ShardedBackend(ExecutionBackend):
 
         Failure handling is shard-grained: a shard whose worker raises,
         crashes, or hangs past its deadline (``cell_timeout`` × shard
-        cells) is re-executed on the in-parent vectorized path at
-        ``attempt + 1`` — and once the pool is broken or holds a hung
-        worker, every remaining shard degrades the same way rather than
-        trusting it.  With no failure channel and no health report the
-        historical fail-fast ``SimulationError`` is preserved.
+        cells, counted from when delivery reaches the shard) is
+        re-executed on the in-parent vectorized path at ``attempt + 1``.
+        A crash or a hang also retires the pool it happened in, and later
+        shards go to a fresh pool, so one bad cell costs its own shard, not
+        the rest of the grid.  A crash fails every shard still in the
+        broken pool (they are redone in the parent: one of them is the
+        culprit); after a hang, the retired pool's unfinished shards are
+        resubmitted to the fresh pool instead.  A run replaces its pool at
+        most ``max_workers`` times — abandoned hung workers linger until
+        their cell returns, and this caps them at one pool's worth — and
+        past that every remaining shard is redone in the parent.
         """
         from concurrent.futures.process import BrokenProcessPool
 
-        from repro.errors import SimulationError
-
         config = _session_payload(session)
         window = self.max_workers + 2
-        recover = fail is not None or health is not None
-        pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.max_workers
-        )
-        pool_broken = False
-        abandoned = False
+        pool = None
+        replaced = 0
+        #: submission index -> [future, its pool, shard]; future is None
+        #: once the replacement budget is spent
+        in_flight: dict[int, list] = {}
+
+        def submit(shard):
+            nonlocal pool
+            if pool is None:
+                if replaced > self.max_workers:
+                    return [None, None, shard]
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.max_workers
+                )
+            future = pool.submit(_execute_shard_payload, shard, config, attempt)
+            return [future, pool, shard]
+
+        def retire(dead, *, hung):
+            nonlocal pool, replaced
+            if dead is not pool:
+                return  # already retired by an earlier shard's failure
+            pool = None
+            replaced += 1
+            if hung:
+                # the hung worker holds a slot for good; what the pool has
+                # not finished moves to the fresh one
+                for index, entry in in_flight.items():
+                    if entry[1] is dead and not entry[0].done():
+                        entry[0].cancel()
+                        in_flight[index] = submit(entry[2])
+            dead.shutdown(wait=False, cancel_futures=True)
+
         try:
-            in_flight: dict[int, tuple] = {}
             next_submit = 0
             next_deliver = 0
             exhausted = False
@@ -783,18 +814,11 @@ class ShardedBackend(ExecutionBackend):
                     if shard is None:
                         exhausted = True
                         break
-                    future = (
-                        None
-                        if pool_broken
-                        else pool.submit(
-                            _execute_shard_payload, shard, config, attempt
-                        )
-                    )
-                    in_flight[next_submit] = (future, shard)
+                    in_flight[next_submit] = submit(shard)
                     next_submit += 1
                 if next_deliver not in in_flight:
                     break
-                future, shard = in_flight.pop(next_deliver)
+                future, owner, shard = in_flight.pop(next_deliver)
                 shard_index = next_deliver
                 next_deliver += 1
                 if "start" in shard:
@@ -814,41 +838,25 @@ class ShardedBackend(ExecutionBackend):
                         count, blob = future.result(timeout=deadline)
                         results = _ShardResults(blob)
                     except concurrent.futures.TimeoutError:
-                        future.cancel()
-                        # the hung worker holds a pool slot forever; stop
-                        # trusting the pool and never join it
-                        pool_broken = True
-                        abandoned = True
+                        if health is not None:
+                            health.wall_clock_lost_s += deadline
                         cause = CellTimeoutError(
                             f"shard {shard_index} ({where}) exceeded its "
                             f"{deadline:g}s deadline (attempt {attempt})"
                         )
-                    except concurrent.futures.CancelledError as exc:
+                        retire(owner, hung=True)
+                    except (
+                        BrokenProcessPool,
+                        concurrent.futures.CancelledError,
+                    ) as exc:
                         cause = WorkerCrashError(
-                            f"shard {shard_index} ({where}) was cancelled "
-                            f"by a broken worker pool (attempt {attempt})"
+                            f"worker pool broke under shard {shard_index} "
+                            f"({where}) (attempt {attempt}): {exc!r}"
                         )
+                        retire(owner, hung=False)
                     except Exception as exc:
-                        if isinstance(exc, BrokenProcessPool):
-                            pool_broken = True
-                            abandoned = True
-                            cause = WorkerCrashError(
-                                f"worker process died executing shard "
-                                f"{shard_index} ({where}) "
-                                f"(attempt {attempt}): {exc}"
-                            )
-                        else:
-                            cause = exc
+                        cause = exc
                 if results is None:
-                    # pool lost the shard (or was already written off)
-                    if not recover:
-                        for other, _ in in_flight.values():
-                            if other is not None:
-                                other.cancel()
-                        raise SimulationError(
-                            f"worker process failed on shard {shard_index} "
-                            f"({where}): {cause}"
-                        ) from cause
                     if health is not None:
                         health.fallbacks += 1
                         if cause is not None:
@@ -863,7 +871,8 @@ class ShardedBackend(ExecutionBackend):
                     exhausted = True
                 deliver(shard, count, results, failures)
         finally:
-            pool.shutdown(wait=not abandoned, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
 
 
 def resolve_backend(

@@ -6,7 +6,9 @@ ladder's in-process rung genuinely recovers: the same cell, the same fault
 plan, but no worker to kill.
 """
 
-from chaoslib import grid, model_session
+import concurrent.futures
+
+from chaoslib import grid, long_grid, model_session, serial_json
 
 from repro.experiments import FaultPlan, RetryPolicy
 from repro.experiments.backends import ShardedBackend
@@ -63,3 +65,48 @@ class TestCrashRecovery:
         health = session.last_health
         assert health.ok
         assert health.fallbacks >= 1
+
+    def test_early_crash_leaves_later_shards_on_a_fresh_pool(self):
+        specs = long_grid()
+        session = model_session(
+            fault_plan=FaultPlan.single(
+                "crash", [specs[0].spec_hash()], times=None
+            )
+        )
+        backend = ShardedBackend(max_workers=2, shard_size=1)
+        envelopes = session.run_batch(specs, backend=backend, retry=FAST_RETRY)
+        assert [e.to_json() for e in envelopes] == serial_json(specs)
+        health = session.last_health
+        assert health.ok
+        assert health.crashes >= 1
+        # the broken pool's in-flight shards (at most one window) are redone
+        # in the parent; shards submitted after the crash go to a fresh pool
+        assert 1 <= health.fallbacks <= backend.max_workers + 2 < len(specs)
+
+    def test_pool_replacements_are_capped_at_max_workers(self, monkeypatch):
+        built = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        specs = long_grid()
+        session = model_session(
+            fault_plan=FaultPlan.single(
+                "crash", [spec.spec_hash() for spec in specs], times=None
+            )
+        )
+        envelopes = session.run_batch(
+            specs,
+            backend=ShardedBackend(max_workers=1, shard_size=1),
+            retry=FAST_RETRY,
+        )
+        assert [e.to_json() for e in envelopes] == serial_json(specs)
+        health = session.last_health
+        assert health.ok
+        # every pool dies; after the first pool and one replacement the
+        # remaining shards are redone in the parent without a pool
+        assert len(built) == 2
+        assert health.fallbacks == len(specs)

@@ -315,6 +315,9 @@ class TestCustomBackendContract:
         health = session.last_health
         assert health.ok
         assert (health.retries, health.fallbacks) == (1, 0)
+        # the one backoff before the retry round is the wall clock lost
+        assert health.wall_clock_lost_s == pytest.approx(self.FAST_RETRY.delay(1))
+        assert health.wall_clock_lost_s > 0
 
     def test_persistent_crash_falls_back_in_process(self):
         backend = FlakyBackend(WorkerCrashError, flaky_attempts=99)
@@ -338,5 +341,6 @@ class TestCustomBackendContract:
         assert backend.rounds == [(1, 2)]
         health = session.last_health
         assert (health.retries, health.fallbacks) == (0, 0)
+        assert health.wall_clock_lost_s == 0
         (failure,) = health.failures
         assert failure.spec_hash == self.SPECS[0].spec_hash()

@@ -183,6 +183,56 @@ class TestRunBackends:
         kinds = {e.kind for e in load_envelopes(out)}
         assert kinds == {"stencil", "spmv"}
 
+    def test_workers_off_the_sharded_backend_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        sweep = [
+            "run",
+            "--kind",
+            "gemm",
+            "--chips",
+            "M1",
+            "--sizes",
+            "256",
+            "--numerics",
+            "model-only",
+            "--quiet",
+            "--workers",
+            "2",
+        ]
+        for argv in (sweep, sweep + ["--backend", "vectorized"]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--workers only sizes the sharded pool" in err
+            assert "Traceback" not in err
+        study = ["study", "run", "--fast", "--chips", "M1", "--quiet"]
+        assert main(study + ["--workers", "2"]) == 2
+        assert "--workers only sizes the sharded pool" in capsys.readouterr().err
+        serve = ["serve", "--store", str(tmp_path / "store"), "--workers", "2"]
+        assert main(serve) == 2
+        assert "--workers only sizes the sharded pool" in capsys.readouterr().err
+
+    def test_workers_size_the_env_sharded_pool(self, capsys, monkeypatch):
+        sweep = [
+            "run",
+            "--kind",
+            "gemm",
+            "--chips",
+            "M1",
+            "--sizes",
+            "256",
+            "--numerics",
+            "model-only",
+            "--json",
+        ]
+        monkeypatch.setenv("REPRO_BACKEND", "serial")
+        assert main(sweep) == 0
+        reference = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_BACKEND", "sharded")
+        assert main(sweep + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == reference
+
 
 class TestRunResume:
     """Interrupt a manifested run mid-grid, then `repro run --resume`."""
@@ -315,8 +365,10 @@ class TestFigureFromEnvelopes:
                     "model-only",
                     "--seed",
                     "0",
+                    "--backend",
+                    "sharded",
                     "--workers",
-                    "4",
+                    "2",
                     "--out",
                     str(out),
                     "--quiet",
@@ -469,23 +521,13 @@ class TestFigureFromEnvelopes:
         assert code == 2
         assert "unknown GEMM implementation" in capsys.readouterr().err
 
-    def test_workers_do_not_change_figures(self, capsys):
-        sequential = _run_figure(
-            capsys, ["figure2", "--fast", "--chips", "M1", "--workers", "1"]
-        )
-        parallel = _run_figure(
-            capsys, ["figure2", "--fast", "--chips", "M1", "--workers", "4"]
-        )
-        assert sequential == parallel
-
-    def test_workers_size_the_env_sharded_pool(self, capsys, monkeypatch):
-        # figure commands have no --backend; --workers matters only when
-        # $REPRO_BACKEND selects sharded, and the figure stays identical
-        argv = ["figure2", "--fast", "--chips", "M1"]
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        reference = _run_figure(capsys, argv)
-        monkeypatch.setenv("REPRO_BACKEND", "sharded")
-        assert _run_figure(capsys, argv + ["--workers", "2"]) == reference
+    def test_figures_have_no_workers_flag(self, capsys):
+        # figure commands name no backend, so a pool size would have
+        # nothing to size
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure2", "--fast", "--chips", "M1", "--workers", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
